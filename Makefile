@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race check cover bench bench-preflight bench-diff bench-smoke bench-all quick full taxonomy examples serve-smoke stat-smoke chaos-smoke trace-smoke fleet-smoke obs-smoke clean
+.PHONY: all build vet lint fma-guard test race check cover bench bench-preflight bench-diff bench-smoke bench-all quick full taxonomy examples serve-smoke stat-smoke chaos-smoke trace-smoke fleet-smoke obs-smoke clean
 
 all: build vet test
 
@@ -20,14 +20,39 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static hygiene beyond vet: gofmt cleanliness everywhere, plus
-# staticcheck when it happens to be installed (never required — the
-# repo stays stdlib-only).
-lint:
+# Static hygiene beyond vet: gofmt cleanliness everywhere, the arm64
+# fused-op ratchet below, plus staticcheck when it happens to be
+# installed (never required — the repo stays stdlib-only).
+lint: fma-guard
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "lint: staticcheck not installed, skipping"; fi
+
+# arm64 fused-op ratchet. The Go spec lets a compiler fuse x*y+z into
+# one FMA instruction. amd64 never does and arm64 does, so every fused
+# site is a place where arm64 bits may differ from the amd64 goldens.
+# This cross-compiles the determinism-critical packages (no arm64
+# machine needed), counts FMADDD/FMSUBD/FNMADDD/FNMSUBD in their
+# assembly, inlined callees included, and fails when a package exceeds
+# its ceiling. Lower a ceiling when a change removes sites; never raise
+# one for an unrounded x*y+z, write float64(x*y)+z instead. gp's
+# ceiling includes the three explicit math.FMA calls of its exact
+# protected modulo, which round once on every architecture. Counts are
+# those of go1.24.
+FMA_CEILINGS = lp:17 gp:6 covering:4 bcpop:1
+fma-guard:
+	@for pc in $(FMA_CEILINGS); do \
+		pkg=$${pc%%:*}; max=$${pc##*:}; \
+		asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/$$pkg 2>&1) || { echo "$$asm"; exit 1; }; \
+		echo "$$asm" | grep -q TEXT || { echo "fma-guard: no arm64 assembly for $$pkg"; exit 1; }; \
+		n=$$(echo "$$asm" | grep -cE '[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]'); \
+		if [ "$$n" -gt "$$max" ]; then \
+			echo "fma-guard: internal/$$pkg has $$n fused ops on arm64, ceiling $$max:"; \
+			echo "$$asm" | grep -E '[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]'; exit 1; \
+		fi; \
+		echo "fma-guard: internal/$$pkg $$n/$$max fused ops on arm64"; \
+	done
 
 test:
 	$(GO) test ./...

@@ -13,7 +13,8 @@
 // Determinism: the VM executes the same float64 operations in the same
 // order as Tree.Eval — Table I operators are specialized to dedicated
 // opcodes whose bodies are copies of the builtin functions (same
-// protected-division/modulo epsilon and fallback), custom operators
+// protected-division epsilon and fallback) or, for the protected
+// modulo, call protMod, the very function behind Mod.F2; custom operators
 // fall back to calling the Op function itself, intermediate NaN/±Inf
 // values propagate untouched, and only the root value collapses NaN to
 // 0 exactly like Eval. Results are therefore bit-identical to the
@@ -237,11 +238,7 @@ func (vm *VM) run(p *Program, env []float64) float64 {
 		case opModP:
 			a, b := st[top], st[top-1]
 			top--
-			if math.Abs(b) < protEps {
-				st[top] = 1
-			} else {
-				st[top] = math.Mod(a, b)
-			}
+			st[top] = protMod(a, b)
 		case opMin:
 			a, b := st[top], st[top-1]
 			top--

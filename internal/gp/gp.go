@@ -47,18 +47,54 @@ var (
 		return a / b
 	}}
 	// Mod is protected modulo: mod(x, 0) → 1.
-	Mod = Op{Name: "mod", Arity: 2, F2: func(a, b float64) float64 {
-		if math.Abs(b) < protEps {
-			return 1
-		}
-		return math.Mod(a, b)
-	}}
+	Mod = Op{Name: "mod", Arity: 2, F2: protMod}
 	// Neg and Min/Max are extension operators (not in Table I) used by
 	// the ablation benchmarks.
 	Neg = Op{Name: "neg", Arity: 1, F1: func(a float64) float64 { return -a }}
 	Min = Op{Name: "min", Arity: 2, F2: math.Min}
 	Max = Op{Name: "max", Arity: 2, F2: math.Max}
 )
+
+// protMod is the protected modulo of Table I, the one definition that
+// both Mod.F2 and the VM's opModP run: a divisor smaller than protEps
+// in magnitude yields 1, any other the remainder math.Mod returns.
+func protMod(a, b float64) float64 {
+	if math.Abs(b) < protEps {
+		return 1
+	}
+	return fastMod(a, b)
+}
+
+// fastMod returns math.Mod(a, b) bit for bit, without its long
+// division loop. It takes q = trunc(a/b) and r = a − q·b in one fused
+// multiply-add. For the true truncated quotient q the exact remainder
+// is representable, so the single rounding of the FMA returns it
+// exactly. While |q| < 2⁵² the rounded a/b lies within 1/4 of the
+// true quotient, so q is off by at most one, and an off q shows: a
+// quotient one too large in magnitude leaves r with the wrong sign,
+// one too small leaves |r| ≥ |b|. One step of q and a second FMA then
+// give the exact remainder. A zero remainder takes the sign of a, as
+// in math.Mod. NaN and infinite operands, a zero divisor and
+// quotients of 2⁵² or more take math.Mod itself.
+func fastMod(a, b float64) float64 {
+	q := math.Trunc(a / b)
+	if !(math.Abs(q) < 1<<52) || math.IsInf(b, 0) {
+		return math.Mod(a, b)
+	}
+	r := math.FMA(-q, b, a)
+	switch {
+	case r != 0 && math.Signbit(r) != math.Signbit(a):
+		q -= math.Copysign(1, q)
+		r = math.FMA(-q, b, a)
+	case math.Abs(r) >= math.Abs(b):
+		q += math.Copysign(1, q)
+		r = math.FMA(-q, b, a)
+	}
+	if r == 0 {
+		return math.Copysign(0, a)
+	}
+	return r
+}
 
 // TableIOps returns the paper's exact operator set {+, -, *, %, mod}.
 func TableIOps() []Op { return []Op{Add, Sub, Mul, Div, Mod} }

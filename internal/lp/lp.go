@@ -12,13 +12,27 @@
 // every induced lower-level covering instance.
 //
 // Design notes. The relaxations solved here have very few rows
-// (m ∈ {5,10,30}) and up to ~1000 columns, so a dense basis inverse
-// (m×m) with full pricing over sparse columns is both simple and fast:
-// each iteration is O(m² + nnz). Bounded variables are handled natively
-// (nonbasic-at-upper status and bound flips) rather than by adding n
-// explicit bound rows, which keeps the basis tiny. Cycling is prevented
-// by switching from Dantzig to Bland's rule after a burst of degenerate
-// pivots.
+// (m ∈ {5,10,30}) and up to ~1000 columns, so the solver keeps a dense
+// m×m basis inverse and one dense row-major copy of the structural
+// block of A; slack and artificial columns are a ±1 sign per row.
+// Bounded variables are handled natively (nonbasic-at-upper status and
+// bound flips) rather than by adding n explicit bound rows, which keeps
+// the basis tiny. Cycling is prevented by switching from Dantzig to
+// Bland's rule after a burst of degenerate pivots.
+//
+// Pricing computes every structural reduced cost per iteration in one
+// row-major sweep, d_j -= y_i·A_ij, four rows per pass over d, skipping
+// rows whose dual y_i is zero: O(m² + m'·n) per iteration for m' nonzero
+// duals, with unit-stride inner loops instead of a gather per column.
+// Rows are taken in ascending i, which is the order a walk down a
+// sparse column accumulates its terms, so every d_j equals the
+// column-walk value except possibly in the sign of a zero, which the
+// entering test d_j < −tol cannot see. The other column walks (crash
+// activity, phase-1 residual, B⁻¹·A_enter and the reported reduced
+// costs) read the same row-major copy and skip zero coefficients. So
+// the pivot sequence, the iteration counts and every output bit are
+// those of a solver that walks sparse columns; oracle_test.go keeps
+// one, and equiv_test.go checks the equality bit for bit.
 //
 // Two fast paths matter for the co-evolutionary workload:
 //
@@ -120,7 +134,7 @@ func Solve(p *Problem) (*Solution, error) {
 		return nil, err
 	}
 	s := newSolver(p, lo, up)
-	return s.run(), nil
+	return s.solution(s.run()), nil
 }
 
 func validate(p *Problem) (lo, up []float64, err error) {
@@ -176,11 +190,16 @@ func validate(p *Problem) (lo, up []float64, err error) {
 
 // solver holds the working state of one solve. Column layout:
 // [0,n) structural, [n,n+m) slack/surplus, [n+m,n+2m) artificial.
+// Every scratch buffer is sized here, so a solve allocates only the
+// Solution it returns.
 type solver struct {
 	m, n  int
 	nTot  int       // n + m + m
-	cols  []colVec  // sparse columns of the full constraint matrix
+	a     []float64 // m×n row-major copy of the structural block of A
+	slack []float64 // ±1: coefficient of slack column n+i in row i
+	art   []float64 // ±1: coefficient of artificial column n+m+i in row i
 	cost  []float64 // phase-2 costs (0 for slack & artificial)
+	p1    []float64 // phase-1 costs: 1 on the artificials, 0 elsewhere
 	lo    []float64
 	up    []float64
 	b     []float64
@@ -192,21 +211,24 @@ type solver struct {
 	xB    []float64 // values of basic variables (mirror of x[basis[i]])
 	yBuf  []float64 // scratch: duals
 	wBuf  []float64 // scratch: B⁻¹·A_enter
+	dBuf  []float64 // scratch: reduced costs of every column
+	sgn   []float64 // scratch: entering direction of every column (see iterate)
+	rBuf  []float64 // scratch: crash row activity, phase-1 residual
+	sBuf  []float64 // scratch: crash slack values
+	nzBuf []int     // scratch: rows with a nonzero dual
 	iters int
 	degen int // consecutive degenerate pivots (Bland trigger)
-}
-
-// colVec is a sparse column: parallel index/value slices.
-type colVec struct {
-	idx []int32
-	val []float64
 }
 
 func newSolver(p *Problem, lo, up []float64) *solver {
 	m, n := len(p.B), len(p.C)
 	s := &solver{
 		m: m, n: n, nTot: n + 2*m,
+		a:     make([]float64, m*n),
+		slack: make([]float64, m),
+		art:   make([]float64, m),
 		cost:  make([]float64, n+2*m),
+		p1:    make([]float64, n+2*m),
 		lo:    make([]float64, n+2*m),
 		up:    make([]float64, n+2*m),
 		b:     append([]float64(nil), p.B...),
@@ -218,52 +240,61 @@ func newSolver(p *Problem, lo, up []float64) *solver {
 		xB:    make([]float64, m),
 		yBuf:  make([]float64, m),
 		wBuf:  make([]float64, m),
+		dBuf:  make([]float64, n+2*m),
+		sgn:   make([]float64, n+2*m),
+		rBuf:  make([]float64, m),
+		sBuf:  make([]float64, m),
+		nzBuf: make([]int, 0, m),
 	}
 	copy(s.cost[:n], p.C)
 	copy(s.lo[:n], lo)
 	copy(s.up[:n], up)
-
-	// Build sparse columns for structurals.
-	s.cols = make([]colVec, s.nTot)
-	for j := 0; j < n; j++ {
-		var c colVec
-		for i := 0; i < m; i++ {
-			if a := p.A[i][j]; a != 0 {
-				c.idx = append(c.idx, int32(i))
-				c.val = append(c.val, a)
-			}
-		}
-		s.cols[j] = c
+	for i, row := range p.A {
+		copy(s.row(i), row)
 	}
 	// Slack/surplus columns: ≤ gets +1 slack in [0,∞); ≥ gets a -1
 	// coefficient so the slack variable itself stays ≥ 0; = gets a slack
 	// fixed to [0,0].
 	for i := 0; i < m; i++ {
 		j := n + i
-		coef := 1.0
+		s.slack[i] = 1
 		switch p.Rel[i] {
 		case GE:
-			coef = -1
+			s.slack[i] = -1
 			s.up[j] = math.Inf(1)
 		case LE:
 			s.up[j] = math.Inf(1)
 		case EQ:
 			s.up[j] = 0
 		}
-		s.cols[j] = colVec{idx: []int32{int32(i)}, val: []float64{coef}}
+		s.p1[n+m+i] = 1
 	}
-	// Artificial columns get their sign fixed in phase-1 setup.
+	// Artificial signs are set by crash or by phase-1 setup.
 	return s
 }
 
-// run executes (crash basis | phase 1) then phase 2.
-func (s *solver) run() *Solution {
+// row returns row i of the structural block of A.
+func (s *solver) row(i int) []float64 { return s.a[i*s.n : (i+1)*s.n] }
+
+// unit returns the row and the ±1 coefficient of logical column j ≥ n,
+// a slack or an artificial.
+func (s *solver) unit(j int) (int, float64) {
+	if i := j - s.n; i < s.m {
+		return i, s.slack[i]
+	}
+	i := j - s.n - s.m
+	return i, s.art[i]
+}
+
+// run executes (crash basis | phase 1) then phase 2 and reports how the
+// solve ended; solution turns the final state into a Solution.
+func (s *solver) run() Status {
 	if !s.crash() {
 		if st, ok := s.phase1(); !ok {
-			return s.failedSolution(st)
+			return st
 		}
 	}
-	return s.phase2()
+	return s.iterate(s.cost, false)
 }
 
 // crash tries to start from a pure slack basis: put every structural
@@ -284,27 +315,28 @@ func (s *solver) crash() bool {
 				continue
 			}
 		}
-		// Row activity with the chosen nonbasic point.
-		act := make([]float64, s.m)
-		for j := 0; j < s.n; j++ {
-			v := s.lo[j]
-			if upper {
-				v = s.up[j]
-			}
-			if v != 0 {
-				c := s.cols[j]
-				for k, i := range c.idx {
-					act[i] += c.val[k] * v
+		point := s.lo[:s.n]
+		if upper {
+			point = s.up[:s.n]
+		}
+		// Row activity with the chosen nonbasic point, summed over the
+		// nonzero terms in ascending column order.
+		act := s.rBuf
+		for i := range act {
+			sum := 0.0
+			for j, a := range s.row(i) {
+				if v := point[j]; v != 0 && a != 0 {
+					sum += float64(a * v)
 				}
 			}
+			act[i] = sum
 		}
 		ok := true
-		slack := make([]float64, s.m)
+		slack := s.sBuf
 		for i := 0; i < s.m; i++ {
 			j := s.n + i
-			coef := s.cols[j].val[0] // ±1
 			// Row: act + coef·slack = b  →  slack = (b-act)/coef.
-			sv := (s.b[i] - act[i]) / coef
+			sv := (s.b[i] - act[i]) / s.slack[i]
 			if sv < s.lo[j]-feasTol || sv > s.up[j]+feasTol {
 				ok = false
 				break
@@ -317,11 +349,7 @@ func (s *solver) crash() bool {
 		// Install the slack basis.
 		for j := 0; j < s.n; j++ {
 			s.atUp[j] = upper
-			if upper {
-				s.x[j] = s.up[j]
-			} else {
-				s.x[j] = s.lo[j]
-			}
+			s.x[j] = point[j]
 			s.inB[j] = false
 		}
 		for i := 0; i < s.m; i++ {
@@ -330,17 +358,16 @@ func (s *solver) crash() bool {
 			s.inB[j] = true
 			s.xB[i] = slack[i]
 			s.x[j] = slack[i]
-			coef := s.cols[j].val[0]
 			row := s.binv[i*s.m : (i+1)*s.m]
 			for k := range row {
 				row[k] = 0
 			}
-			row[i] = 1 / coef
+			row[i] = 1 / s.slack[i]
 		}
 		// Artificials stay out of the basis and locked at zero.
 		for i := 0; i < s.m; i++ {
 			j := s.n + s.m + i
-			s.cols[j] = colVec{idx: []int32{int32(i)}, val: []float64{1}}
+			s.art[i] = 1
 			s.lo[j], s.up[j] = 0, 0
 			s.x[j] = 0
 			s.inB[j] = false
@@ -360,18 +387,19 @@ func (s *solver) phase1() (Status, bool) {
 		s.atUp[j] = false
 		s.inB[j] = false
 	}
-	// Residual r = b - A·x determines artificial signs and values.
-	r := make([]float64, s.m)
-	copy(r, s.b)
-	for j := 0; j < s.n+s.m; j++ {
-		if s.x[j] != 0 {
-			c := s.cols[j]
-			for k, i := range c.idx {
-				r[i] -= c.val[k] * s.x[j]
+	// Residual r = b - A·x determines artificial signs and values,
+	// summed over the nonzero terms in ascending column order. Slack
+	// lower bounds are 0, so the slacks contribute nothing.
+	r := s.rBuf
+	for i := range r {
+		ri := s.b[i]
+		for j, a := range s.row(i) {
+			if v := s.x[j]; v != 0 && a != 0 {
+				ri -= float64(a * v)
 			}
 		}
+		r[i] = ri
 	}
-	phase1 := make([]float64, s.nTot)
 	for i := range s.binv {
 		s.binv[i] = 0
 	}
@@ -381,7 +409,7 @@ func (s *solver) phase1() (Status, bool) {
 		if r[i] < 0 {
 			coef = -1
 		}
-		s.cols[j] = colVec{idx: []int32{int32(i)}, val: []float64{coef}}
+		s.art[i] = coef
 		s.lo[j], s.up[j] = 0, math.Inf(1)
 		s.x[j] = math.Abs(r[i])
 		s.basis[i] = j
@@ -389,10 +417,9 @@ func (s *solver) phase1() (Status, bool) {
 		s.atUp[j] = false
 		s.xB[i] = s.x[j]
 		s.binv[i*s.m+i] = 1 / coef
-		phase1[j] = 1
 	}
 
-	st := s.iterate(phase1, true)
+	st := s.iterate(s.p1, true)
 	if st == IterLimit {
 		return IterLimit, false
 	}
@@ -417,19 +444,20 @@ func (s *solver) phase1() (Status, bool) {
 	return Optimal, true
 }
 
-// phase2 minimizes the true objective from the current feasible basis
-// and assembles the Solution.
-func (s *solver) phase2() *Solution {
-	st := s.iterate(s.cost, false)
-	if st != Optimal {
-		return s.failedSolution(st)
-	}
+// solution assembles the Solution of a solve that ended with st: the
+// optimum read off the final basis, or zero vectors for any other
+// status. Its slices are freshly allocated, so it stays valid across
+// later solves.
+func (s *solver) solution(st Status) *Solution {
 	sol := &Solution{
-		Status:      Optimal,
+		Status:      st,
 		X:           make([]float64, s.n),
 		Dual:        make([]float64, s.m),
 		ReducedCost: make([]float64, s.n),
 		Iterations:  s.iters,
+	}
+	if st != Optimal {
+		return sol
 	}
 	for i := 0; i < s.m; i++ {
 		s.x[s.basis[i]] = s.xB[i]
@@ -440,25 +468,20 @@ func (s *solver) phase2() *Solution {
 	obj := 0.0
 	for j := 0; j < s.n; j++ {
 		obj += s.cost[j] * s.x[j]
-		d := s.cost[j]
-		c := s.cols[j]
-		for k, i := range c.idx {
-			d -= y[i] * c.val[k]
-		}
-		sol.ReducedCost[j] = d
 	}
 	sol.Obj = obj
-	return sol
-}
-
-func (s *solver) failedSolution(st Status) *Solution {
-	return &Solution{
-		Status:      st,
-		X:           make([]float64, s.n),
-		Dual:        make([]float64, s.m),
-		ReducedCost: make([]float64, s.n),
-		Iterations:  s.iters,
+	// c_j − y·A_j summed over the nonzero coefficients in ascending row
+	// order: exactly the operations of a walk down column j.
+	rc := sol.ReducedCost
+	copy(rc, s.cost[:s.n])
+	for i, yi := range y {
+		for j, a := range s.row(i) {
+			if a != 0 {
+				rc[j] -= float64(yi * a)
+			}
+		}
 	}
+	return sol
 }
 
 // duals computes y = c_B·B⁻¹ for the given cost vector into the shared
@@ -481,18 +504,79 @@ func (s *solver) duals(cost []float64) []float64 {
 	return y
 }
 
+// price fills dBuf with the reduced cost c_j − y·A_j of every column.
+// The structural ones come from one sweep over the row-major copy of A,
+// d_j -= yᵢ·Aᵢⱼ. Rows are taken in ascending i, so each column
+// accumulates its terms in the order a walk down the column would;
+// rows with yᵢ = 0 are skipped. The sweep and a column walk that skips
+// Aᵢⱼ = 0 differ only in which zero products they subtract. With finite
+// duals a zero product leaves a nonzero d_j unchanged and can flip only
+// the sign of a zero one, and pricing compares d_j with −tol, so the
+// choice of entering column does not depend on the sign of a zero. Four
+// rows go per pass over dBuf; the explicit float64 conversions keep
+// every product rounded, so no architecture may fuse it into the
+// subtraction.
+func (s *solver) price(cost, y []float64) {
+	n, m := s.n, s.m
+	d := s.dBuf[:n]
+	copy(d, cost[:n])
+	nz := s.nzBuf[:0]
+	for i, yi := range y {
+		if yi != 0 {
+			nz = append(nz, i)
+		}
+	}
+	k := 0
+	for ; k+4 <= len(nz); k += 4 {
+		y0, y1, y2, y3 := y[nz[k]], y[nz[k+1]], y[nz[k+2]], y[nz[k+3]]
+		a0 := s.row(nz[k])[:len(d)]
+		a1 := s.row(nz[k+1])[:len(d)]
+		a2 := s.row(nz[k+2])[:len(d)]
+		a3 := s.row(nz[k+3])[:len(d)]
+		for j, v := range d {
+			v -= float64(y0 * a0[j])
+			v -= float64(y1 * a1[j])
+			v -= float64(y2 * a2[j])
+			v -= float64(y3 * a3[j])
+			d[j] = v
+		}
+	}
+	for ; k < len(nz); k++ {
+		yi, a := y[nz[k]], s.row(nz[k])[:len(d)]
+		for j := range d {
+			d[j] -= float64(yi * a[j])
+		}
+	}
+	// Slack and artificial columns have a single ±1 entry.
+	for i, yi := range y {
+		s.dBuf[n+i] = cost[n+i] - float64(yi*s.slack[i])
+		s.dBuf[n+m+i] = cost[n+m+i] - float64(yi*s.art[i])
+	}
+}
+
 // iterate runs primal simplex iterations with cost vector `cost` until
 // optimality, unboundedness or the iteration cap. In phase 1 artificial
 // columns may price; afterwards they are excluded.
 func (s *solver) iterate(cost []float64, phase1 bool) Status {
 	maxIter := s.iters + 5000 + 50*(s.n+s.m)
 	w := s.wBuf
+	// sgn[j] is the direction nonbasic column j may move from its bound:
+	// +1 at lower (attractive to increase if d_j < 0), −1 at upper
+	// (attractive to decrease if d_j > 0), and 0 for basic and fixed
+	// columns, which never enter. The pricing score d_j·sgn[j] is then
+	// exactly d_j or −d_j, and ±0 or NaN, which never beats −tol, for
+	// the columns that cannot enter.
+	sgn := s.sgn
+	for j := range sgn {
+		sgn[j] = s.direction(j)
+	}
 	for {
 		if s.iters >= maxIter {
 			return IterLimit
 		}
 		s.iters++
 		y := s.duals(cost)
+		s.price(cost, y)
 
 		// Pricing: pick the entering variable.
 		limit := s.nTot
@@ -502,47 +586,34 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 		bland := s.degen >= blandTrigger
 		enter, dir := -1, 0.0
 		best := -tol
-		for j := 0; j < limit; j++ {
-			if s.inB[j] || s.lo[j] == s.up[j] {
-				continue
-			}
-			d := cost[j]
-			c := s.cols[j]
-			for k, i := range c.idx {
-				d -= y[i] * c.val[k]
-			}
-			var score, dj float64
-			if !s.atUp[j] {
-				// At lower bound: attractive to increase if d < 0.
-				score, dj = d, 1
-			} else {
-				// At upper bound: attractive to decrease if d > 0.
-				score, dj = -d, -1
-			}
-			if score < best {
+		dirs := sgn[:limit]
+		for j, d := range s.dBuf[:limit] {
+			if score := d * dirs[j]; score < best {
+				enter, dir = j, dirs[j]
 				if bland {
-					enter, dir = j, dj
 					break
 				}
 				best = score
-				enter, dir = j, dj
 			}
 		}
 		if enter < 0 {
 			return Optimal
 		}
 
-		// Direction through the basis: w = B⁻¹·A_enter.
+		// Direction through the basis: w = B⁻¹·A_enter, summed over the
+		// entering column's nonzeros in ascending row order.
 		for i := range w {
 			w[i] = 0
 		}
-		ec := s.cols[enter]
-		for k, i := range ec.idx {
-			v := ec.val[k]
-			col := int(i)
-			for r := 0; r < s.m; r++ {
-				w[r] += s.binv[r*s.m+col] * v
+		if enter < s.n {
+			for i := 0; i < s.m; i++ {
+				if v := s.a[i*s.n+enter]; v != 0 {
+					s.addBinvCol(w, i, v)
+				}
 			}
+		} else {
+			i, coef := s.unit(enter)
+			s.addBinvCol(w, i, coef)
 		}
 
 		// Ratio test. Basic variable i moves by -t·dir·w[i].
@@ -603,6 +674,7 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 				s.x[enter] = s.lo[enter]
 				s.atUp[enter] = false
 			}
+			sgn[enter] = -dir
 			continue
 		}
 
@@ -626,6 +698,7 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 		s.inB[enter] = true
 		s.atUp[enter] = false
 		s.xB[leave] = enterVal
+		sgn[out], sgn[enter] = s.direction(out), 0
 
 		// Update B⁻¹: eliminate w in all rows but `leave`.
 		piv := w[leave]
@@ -642,11 +715,31 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 			if f == 0 {
 				continue
 			}
-			row := s.binv[i*s.m : (i+1)*s.m]
-			for k := range row {
-				row[k] -= f * prow[k]
+			row := s.binv[i*s.m : (i+1)*s.m][:len(prow)]
+			for k, p := range prow {
+				row[k] -= f * p
 			}
 		}
+	}
+}
+
+// direction returns the entering direction of column j: 0 if it is
+// basic or fixed, −1 at its upper bound, +1 at its lower bound.
+func (s *solver) direction(j int) float64 {
+	switch {
+	case s.inB[j] || s.lo[j] == s.up[j]:
+		return 0
+	case s.atUp[j]:
+		return -1
+	}
+	return 1
+}
+
+// addBinvCol adds v times column col of B⁻¹ to w.
+func (s *solver) addBinvCol(w []float64, col int, v float64) {
+	binv, m := s.binv, s.m
+	for r := range w {
+		w[r] += float64(binv[r*m+col] * v)
 	}
 }
 
@@ -698,36 +791,33 @@ func (ws *WarmSolver) SolveWithCosts(c []float64) (*Solution, error) {
 			return nil, fmt.Errorf("lp: %w", err)
 		}
 	}
+	return ws.s.solution(ws.solve(c)), nil
+}
+
+// solve re-optimizes for the validated costs c and reports the final
+// status, leaving the result in the solver's state. It allocates
+// nothing.
+func (ws *WarmSolver) solve(c []float64) Status {
 	s := ws.s
 	copy(s.cost[:s.n], c)
 	if ws.infeas {
-		return s.failedSolution(Infeasible), nil
+		return Infeasible
 	}
-	if !ws.solved {
-		sol := s.run()
-		switch sol.Status {
-		case Optimal:
-			ws.solved = true
-		case Infeasible:
-			ws.infeas = true
+	if ws.solved {
+		// Warm path: current basis is primal feasible; re-optimize.
+		s.degen = 0
+		if st := s.iterate(s.cost, false); st == Optimal {
+			return st
 		}
-		return sol, nil
-	}
-	// Warm path: current basis is primal feasible; re-optimize.
-	s.degen = 0
-	sol := s.phase2()
-	if sol.Status != Optimal {
 		// Numerical trouble on the warm path (e.g. accumulated basis
 		// drift): fall back to a cold solve once.
-		ws.solved = false
-		sol = s.run()
-		if sol.Status == Optimal {
-			ws.solved = true
-		} else if sol.Status == Infeasible {
-			ws.infeas = true
-		}
 	}
-	return sol, nil
+	st := s.run()
+	ws.solved = st == Optimal
+	if st == Infeasible {
+		ws.infeas = true
+	}
+	return st
 }
 
 // Iterations returns the cumulative simplex iterations across all solves.

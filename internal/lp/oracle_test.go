@@ -1,0 +1,594 @@
+package lp
+
+// refSolver is the sparse-column simplex this package used before
+// pricing became a dense row-major sweep. It is kept here, unchanged
+// apart from its names, as the oracle the production solver must match
+// bit for bit (equiv_test.go). Nothing outside the tests calls it.
+
+import (
+	"fmt"
+	"math"
+)
+
+// refSolve runs the two-phase bounded-variable simplex. It returns an error
+// for malformed input (dimension mismatches, NaN, inverted bounds); model
+// outcomes (infeasible/unbounded) are reported via Solution.Status.
+func refSolve(p *Problem) (*Solution, error) {
+	lo, up, err := validate(p)
+	if err != nil {
+		return nil, err
+	}
+	s := newRefSolver(p, lo, up)
+	return s.run(), nil
+}
+
+// refSolver holds the working state of one solve. Column layout:
+// [0,n) structural, [n,n+m) slack/surplus, [n+m,n+2m) artificial.
+type refSolver struct {
+	m, n  int
+	nTot  int         // n + m + m
+	cols  []refColVec // sparse columns of the full constraint matrix
+	cost  []float64   // phase-2 costs (0 for slack & artificial)
+	lo    []float64
+	up    []float64
+	b     []float64
+	x     []float64 // current value of every variable
+	atUp  []bool    // nonbasic-at-upper flag
+	inB   []bool    // basic flag
+	basis []int     // basic variable per row
+	binv  []float64 // m×m row-major basis inverse
+	xB    []float64 // values of basic variables (mirror of x[basis[i]])
+	yBuf  []float64 // scratch: duals
+	wBuf  []float64 // scratch: B⁻¹·A_enter
+	iters int
+	degen int // consecutive degenerate pivots (Bland trigger)
+}
+
+// refColVec is a sparse column: parallel index/value slices.
+type refColVec struct {
+	idx []int32
+	val []float64
+}
+
+func newRefSolver(p *Problem, lo, up []float64) *refSolver {
+	m, n := len(p.B), len(p.C)
+	s := &refSolver{
+		m: m, n: n, nTot: n + 2*m,
+		cost:  make([]float64, n+2*m),
+		lo:    make([]float64, n+2*m),
+		up:    make([]float64, n+2*m),
+		b:     append([]float64(nil), p.B...),
+		x:     make([]float64, n+2*m),
+		atUp:  make([]bool, n+2*m),
+		inB:   make([]bool, n+2*m),
+		basis: make([]int, m),
+		binv:  make([]float64, m*m),
+		xB:    make([]float64, m),
+		yBuf:  make([]float64, m),
+		wBuf:  make([]float64, m),
+	}
+	copy(s.cost[:n], p.C)
+	copy(s.lo[:n], lo)
+	copy(s.up[:n], up)
+
+	// Build sparse columns for structurals.
+	s.cols = make([]refColVec, s.nTot)
+	for j := 0; j < n; j++ {
+		var c refColVec
+		for i := 0; i < m; i++ {
+			if a := p.A[i][j]; a != 0 {
+				c.idx = append(c.idx, int32(i))
+				c.val = append(c.val, a)
+			}
+		}
+		s.cols[j] = c
+	}
+	// Slack/surplus columns: ≤ gets +1 slack in [0,∞); ≥ gets a -1
+	// coefficient so the slack variable itself stays ≥ 0; = gets a slack
+	// fixed to [0,0].
+	for i := 0; i < m; i++ {
+		j := n + i
+		coef := 1.0
+		switch p.Rel[i] {
+		case GE:
+			coef = -1
+			s.up[j] = math.Inf(1)
+		case LE:
+			s.up[j] = math.Inf(1)
+		case EQ:
+			s.up[j] = 0
+		}
+		s.cols[j] = refColVec{idx: []int32{int32(i)}, val: []float64{coef}}
+	}
+	// Artificial columns get their sign fixed in phase-1 setup.
+	return s
+}
+
+// run executes (crash basis | phase 1) then phase 2.
+func (s *refSolver) run() *Solution {
+	if !s.crash() {
+		if st, ok := s.phase1(); !ok {
+			return s.failedSolution(st)
+		}
+	}
+	return s.phase2()
+}
+
+// crash tries to start from a pure slack basis: put every structural
+// variable at one of its bounds (all-lower first, then all-upper) and
+// check whether the implied slack values are within the slack bounds.
+// On success the basis inverse is diagonal (±1) and phase 1 is skipped.
+func (s *refSolver) crash() bool {
+	for _, upper := range []bool{false, true} {
+		if upper {
+			allFinite := true
+			for j := 0; j < s.n; j++ {
+				if math.IsInf(s.up[j], 1) {
+					allFinite = false
+					break
+				}
+			}
+			if !allFinite {
+				continue
+			}
+		}
+		// Row activity with the chosen nonbasic point.
+		act := make([]float64, s.m)
+		for j := 0; j < s.n; j++ {
+			v := s.lo[j]
+			if upper {
+				v = s.up[j]
+			}
+			if v != 0 {
+				c := s.cols[j]
+				for k, i := range c.idx {
+					act[i] += c.val[k] * v
+				}
+			}
+		}
+		ok := true
+		slack := make([]float64, s.m)
+		for i := 0; i < s.m; i++ {
+			j := s.n + i
+			coef := s.cols[j].val[0] // ±1
+			// Row: act + coef·slack = b  →  slack = (b-act)/coef.
+			sv := (s.b[i] - act[i]) / coef
+			if sv < s.lo[j]-feasTol || sv > s.up[j]+feasTol {
+				ok = false
+				break
+			}
+			slack[i] = math.Max(sv, s.lo[j])
+		}
+		if !ok {
+			continue
+		}
+		// Install the slack basis.
+		for j := 0; j < s.n; j++ {
+			s.atUp[j] = upper
+			if upper {
+				s.x[j] = s.up[j]
+			} else {
+				s.x[j] = s.lo[j]
+			}
+			s.inB[j] = false
+		}
+		for i := 0; i < s.m; i++ {
+			j := s.n + i
+			s.basis[i] = j
+			s.inB[j] = true
+			s.xB[i] = slack[i]
+			s.x[j] = slack[i]
+			coef := s.cols[j].val[0]
+			row := s.binv[i*s.m : (i+1)*s.m]
+			for k := range row {
+				row[k] = 0
+			}
+			row[i] = 1 / coef
+		}
+		// Artificials stay out of the basis and locked at zero.
+		for i := 0; i < s.m; i++ {
+			j := s.n + s.m + i
+			s.cols[j] = refColVec{idx: []int32{int32(i)}, val: []float64{1}}
+			s.lo[j], s.up[j] = 0, 0
+			s.x[j] = 0
+			s.inB[j] = false
+		}
+		return true
+	}
+	return false
+}
+
+// phase1 installs an artificial basis and minimizes total infeasibility.
+// It reports the terminal status and whether a feasible basis was found.
+func (s *refSolver) phase1() (Status, bool) {
+	// Initial point: every structural and slack variable at its lower
+	// bound (finite by validation).
+	for j := 0; j < s.n+s.m; j++ {
+		s.x[j] = s.lo[j]
+		s.atUp[j] = false
+		s.inB[j] = false
+	}
+	// Residual r = b - A·x determines artificial signs and values.
+	r := make([]float64, s.m)
+	copy(r, s.b)
+	for j := 0; j < s.n+s.m; j++ {
+		if s.x[j] != 0 {
+			c := s.cols[j]
+			for k, i := range c.idx {
+				r[i] -= c.val[k] * s.x[j]
+			}
+		}
+	}
+	phase1 := make([]float64, s.nTot)
+	for i := range s.binv {
+		s.binv[i] = 0
+	}
+	for i := 0; i < s.m; i++ {
+		j := s.n + s.m + i
+		coef := 1.0
+		if r[i] < 0 {
+			coef = -1
+		}
+		s.cols[j] = refColVec{idx: []int32{int32(i)}, val: []float64{coef}}
+		s.lo[j], s.up[j] = 0, math.Inf(1)
+		s.x[j] = math.Abs(r[i])
+		s.basis[i] = j
+		s.inB[j] = true
+		s.atUp[j] = false
+		s.xB[i] = s.x[j]
+		s.binv[i*s.m+i] = 1 / coef
+		phase1[j] = 1
+	}
+
+	st := s.iterate(phase1, true)
+	if st == IterLimit {
+		return IterLimit, false
+	}
+	infeas := 0.0
+	for i := 0; i < s.m; i++ {
+		if s.basis[i] >= s.n+s.m {
+			infeas += s.xB[i]
+		}
+	}
+	if infeas > feasTol {
+		return Infeasible, false
+	}
+	// Lock artificials at zero for phase 2. Basic artificials stuck at
+	// value 0 are harmless; they just can't re-grow.
+	for i := 0; i < s.m; i++ {
+		j := s.n + s.m + i
+		s.up[j] = 0
+		if !s.inB[j] {
+			s.x[j] = 0
+		}
+	}
+	return Optimal, true
+}
+
+// phase2 minimizes the true objective from the current feasible basis
+// and assembles the Solution.
+func (s *refSolver) phase2() *Solution {
+	st := s.iterate(s.cost, false)
+	if st != Optimal {
+		return s.failedSolution(st)
+	}
+	sol := &Solution{
+		Status:      Optimal,
+		X:           make([]float64, s.n),
+		Dual:        make([]float64, s.m),
+		ReducedCost: make([]float64, s.n),
+		Iterations:  s.iters,
+	}
+	for i := 0; i < s.m; i++ {
+		s.x[s.basis[i]] = s.xB[i]
+	}
+	copy(sol.X, s.x[:s.n])
+	y := s.duals(s.cost)
+	copy(sol.Dual, y)
+	obj := 0.0
+	for j := 0; j < s.n; j++ {
+		obj += s.cost[j] * s.x[j]
+		d := s.cost[j]
+		c := s.cols[j]
+		for k, i := range c.idx {
+			d -= y[i] * c.val[k]
+		}
+		sol.ReducedCost[j] = d
+	}
+	sol.Obj = obj
+	return sol
+}
+
+func (s *refSolver) failedSolution(st Status) *Solution {
+	return &Solution{
+		Status:      st,
+		X:           make([]float64, s.n),
+		Dual:        make([]float64, s.m),
+		ReducedCost: make([]float64, s.n),
+		Iterations:  s.iters,
+	}
+}
+
+// duals computes y = c_B·B⁻¹ for the given cost vector into the shared
+// scratch buffer.
+func (s *refSolver) duals(cost []float64) []float64 {
+	y := s.yBuf
+	for i := range y {
+		y[i] = 0
+	}
+	for i := 0; i < s.m; i++ {
+		cb := cost[s.basis[i]]
+		if cb == 0 {
+			continue
+		}
+		row := s.binv[i*s.m : (i+1)*s.m]
+		for k, v := range row {
+			y[k] += cb * v
+		}
+	}
+	return y
+}
+
+// iterate runs primal simplex iterations with cost vector `cost` until
+// optimality, unboundedness or the iteration cap. In phase 1 artificial
+// columns may price; afterwards they are excluded.
+func (s *refSolver) iterate(cost []float64, phase1 bool) Status {
+	maxIter := s.iters + 5000 + 50*(s.n+s.m)
+	w := s.wBuf
+	for {
+		if s.iters >= maxIter {
+			return IterLimit
+		}
+		s.iters++
+		y := s.duals(cost)
+
+		// Pricing: pick the entering variable.
+		limit := s.nTot
+		if !phase1 {
+			limit = s.n + s.m
+		}
+		bland := s.degen >= blandTrigger
+		enter, dir := -1, 0.0
+		best := -tol
+		for j := 0; j < limit; j++ {
+			if s.inB[j] || s.lo[j] == s.up[j] {
+				continue
+			}
+			d := cost[j]
+			c := s.cols[j]
+			for k, i := range c.idx {
+				d -= y[i] * c.val[k]
+			}
+			var score, dj float64
+			if !s.atUp[j] {
+				// At lower bound: attractive to increase if d < 0.
+				score, dj = d, 1
+			} else {
+				// At upper bound: attractive to decrease if d > 0.
+				score, dj = -d, -1
+			}
+			if score < best {
+				if bland {
+					enter, dir = j, dj
+					break
+				}
+				best = score
+				enter, dir = j, dj
+			}
+		}
+		if enter < 0 {
+			return Optimal
+		}
+
+		// Direction through the basis: w = B⁻¹·A_enter.
+		for i := range w {
+			w[i] = 0
+		}
+		ec := s.cols[enter]
+		for k, i := range ec.idx {
+			v := ec.val[k]
+			col := int(i)
+			for r := 0; r < s.m; r++ {
+				w[r] += s.binv[r*s.m+col] * v
+			}
+		}
+
+		// Ratio test. Basic variable i moves by -t·dir·w[i].
+		tMax := s.up[enter] - s.lo[enter] // bound-flip cap (may be +Inf)
+		leave, leaveToUp := -1, false
+		consider := func(i int, t float64, toUp bool) {
+			switch {
+			case t < tMax-tol:
+				tMax, leave, leaveToUp = t, i, toUp
+			case t <= tMax+tol:
+				// Tie within tolerance: under Bland's rule prefer the
+				// smallest leaving variable index (anti-cycling);
+				// otherwise keep the first hit.
+				if leave < 0 || (bland && s.basis[i] < s.basis[leave]) {
+					if t < tMax {
+						tMax = t
+					}
+					leave, leaveToUp = i, toUp
+				}
+			}
+		}
+		for i := 0; i < s.m; i++ {
+			delta := -dir * w[i]
+			bi := s.basis[i]
+			switch {
+			case delta < -tol:
+				consider(i, (s.xB[i]-s.lo[bi])/(-delta), false)
+			case delta > tol:
+				if !math.IsInf(s.up[bi], 1) {
+					consider(i, (s.up[bi]-s.xB[i])/delta, true)
+				}
+			}
+		}
+		if math.IsInf(tMax, 1) {
+			return Unbounded
+		}
+		if tMax < tol {
+			s.degen++
+		} else {
+			s.degen = 0
+		}
+		if tMax < 0 {
+			tMax = 0
+		}
+
+		// Apply the step to the basic values.
+		for i := 0; i < s.m; i++ {
+			s.xB[i] -= tMax * dir * w[i]
+		}
+
+		if leave < 0 {
+			// Pure bound flip: the entering variable crosses to its
+			// opposite bound; the basis is unchanged.
+			if dir > 0 {
+				s.x[enter] = s.up[enter]
+				s.atUp[enter] = true
+			} else {
+				s.x[enter] = s.lo[enter]
+				s.atUp[enter] = false
+			}
+			continue
+		}
+
+		// Pivot: `enter` becomes basic in row `leave`.
+		out := s.basis[leave]
+		s.inB[out] = false
+		if leaveToUp {
+			s.x[out] = s.up[out]
+			s.atUp[out] = true
+		} else {
+			s.x[out] = s.lo[out]
+			s.atUp[out] = false
+		}
+		var enterVal float64
+		if dir > 0 {
+			enterVal = s.lo[enter] + tMax
+		} else {
+			enterVal = s.up[enter] - tMax
+		}
+		s.basis[leave] = enter
+		s.inB[enter] = true
+		s.atUp[enter] = false
+		s.xB[leave] = enterVal
+
+		// Update B⁻¹: eliminate w in all rows but `leave`.
+		piv := w[leave]
+		prow := s.binv[leave*s.m : (leave+1)*s.m]
+		inv := 1 / piv
+		for k := range prow {
+			prow[k] *= inv
+		}
+		for i := 0; i < s.m; i++ {
+			if i == leave {
+				continue
+			}
+			f := w[i]
+			if f == 0 {
+				continue
+			}
+			row := s.binv[i*s.m : (i+1)*s.m]
+			for k := range row {
+				row[k] -= f * prow[k]
+			}
+		}
+	}
+}
+
+// refWarmSolver solves a sequence of LPs that share A, b, Rel and bounds
+// and differ only in the cost vector — the access pattern of the BCPOP
+// workload, where every upper-level pricing decision re-prices the same
+// covering matrix. After the first solve the optimal basis remains
+// primal feasible for any new costs, so subsequent solves run phase 2
+// only, typically converging in a few pivots.
+type refWarmSolver struct {
+	s      *refSolver
+	n      int
+	solved bool // a feasible basis is installed
+	infeas bool // the feasible region is empty regardless of costs
+
+	// Fault, when non-nil, is consulted before every solve; a non-nil
+	// return aborts the solve with that error and leaves the refSolver
+	// state (warm basis, infeasibility latch) untouched, so a later
+	// retry behaves as if the faulted call never happened. Used by the
+	// fault-injection layer; nil in production.
+	Fault func() error
+}
+
+// newRefWarmSolver validates the problem shape and prepares a reusable
+// refSolver. p.C provides the initial costs. A refWarmSolver is not safe for
+// concurrent use; clone one per goroutine via newRefWarmSolver.
+func newRefWarmSolver(p *Problem) (*refWarmSolver, error) {
+	lo, up, err := validate(p)
+	if err != nil {
+		return nil, err
+	}
+	return &refWarmSolver{s: newRefSolver(p, lo, up), n: len(p.C)}, nil
+}
+
+// SolveWithCosts solves with a fresh cost vector (length n). The
+// returned Solution is freshly allocated and remains valid across later
+// calls.
+func (ws *refWarmSolver) SolveWithCosts(c []float64) (*Solution, error) {
+	if len(c) != ws.n {
+		return nil, fmt.Errorf("lp: got %d costs, want %d", len(c), ws.n)
+	}
+	for j, v := range c {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("lp: bad cost on variable %d: %v", j, v)
+		}
+	}
+	if ws.Fault != nil {
+		if err := ws.Fault(); err != nil {
+			return nil, fmt.Errorf("lp: %w", err)
+		}
+	}
+	s := ws.s
+	copy(s.cost[:s.n], c)
+	if ws.infeas {
+		return s.failedSolution(Infeasible), nil
+	}
+	if !ws.solved {
+		sol := s.run()
+		switch sol.Status {
+		case Optimal:
+			ws.solved = true
+		case Infeasible:
+			ws.infeas = true
+		}
+		return sol, nil
+	}
+	// Warm path: current basis is primal feasible; re-optimize.
+	s.degen = 0
+	sol := s.phase2()
+	if sol.Status != Optimal {
+		// Numerical trouble on the warm path (e.g. accumulated basis
+		// drift): fall back to a cold solve once.
+		ws.solved = false
+		sol = s.run()
+		if sol.Status == Optimal {
+			ws.solved = true
+		} else if sol.Status == Infeasible {
+			ws.infeas = true
+		}
+	}
+	return sol, nil
+}
+
+// Iterations returns the cumulative simplex iterations across all solves.
+func (ws *refWarmSolver) Iterations() int { return ws.s.iters }
+
+// Reset discards the installed warm basis, so the next SolveWithCosts
+// runs cold, exactly like the first solve of a fresh refWarmSolver. The
+// infeasibility latch is kept — an empty feasible region is a property
+// of the matrix, not the costs.
+//
+// Solvers accumulate basis state (and its floating-point history) across
+// solves; callers that need solve results to depend only on the current
+// cost vector and not on which solves came before — e.g. checkpointed
+// runs that must replay bit-identically after a restore — call Reset at
+// their replay boundaries.
+func (ws *refWarmSolver) Reset() { ws.solved = false }

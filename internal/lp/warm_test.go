@@ -164,3 +164,41 @@ func BenchmarkWarmResolve500x30(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWarmSolve250x30 re-solves a fixed sequence of cost vectors
+// on one n=250, m=30 covering matrix, the shape of the relaxation LPs
+// of the n250m30 class. It times the solver itself, without building
+// the returned Solution (four allocations that SolveWithCosts adds), so
+// it must report 0 allocs/op.
+func BenchmarkWarmSolve250x30(b *testing.B) {
+	r := rng.New(250)
+	p := randomCoveringLP(r, 250, 30)
+	costs := make([][]float64, 64)
+	for k := range costs {
+		c := append([]float64(nil), p.C...)
+		for j := range c {
+			if r.Bool(0.2) {
+				c[j] = r.Range(1, 100)
+			}
+		}
+		costs[k] = c
+	}
+	ws, err := NewWarmSolver(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range costs { // install the warm basis and size nothing lazily
+		if ws.solve(c) != Optimal {
+			b.Fatal("warm-up solve failed")
+		}
+	}
+	start := ws.Iterations()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ws.solve(costs[i%len(costs)]) != Optimal {
+			b.Fatal("resolve failed")
+		}
+	}
+	b.ReportMetric(float64(ws.Iterations()-start)/float64(b.N), "pivots/op")
+}
