@@ -37,10 +37,10 @@ lint: fma-guard
 # assembly, inlined callees included, and fails when a package exceeds
 # its ceiling. Lower a ceiling when a change removes sites; never raise
 # one for an unrounded x*y+z, write float64(x*y)+z instead. gp's
-# ceiling includes the three explicit math.FMA calls of its exact
-# protected modulo, which round once on every architecture. Counts are
-# those of go1.24.
-FMA_CEILINGS = lp:17 gp:6 covering:4 bcpop:1
+# ceiling is the three explicit math.FMA calls of its exact protected
+# modulo, which round once on every architecture. ga, stats and
+# surrogate still carry unrounded sites. Counts are those of go1.24.
+FMA_CEILINGS = lp:17 gp:3 covering:0 bcpop:0 rng:0 core:0 ga:13 stats:18 surrogate:9
 fma-guard:
 	@for pc in $(FMA_CEILINGS); do \
 		pkg=$${pc%%:*}; max=$${pc##*:}; \
@@ -113,8 +113,8 @@ bench-diff:
 # One-iteration benchmark pass: proves every benchmark (and the benchjson
 # parser) still runs, without paying for measurement. Part of `check`.
 bench-smoke: bench-preflight
-	$(GO) test -run XXX -bench 'EvalTree|EvalProgram|Prepare|EngineStep|Rotating|StepWithSearchStats|StepWithSpans|StepWithSubscribers|RouteSubmit' -benchtime=1x -benchmem \
-		./internal/bcpop/ ./internal/core/ ./internal/serve/ ./internal/cluster/ | $(GO) run carbon/cmd/benchjson >/dev/null
+	$(GO) test -run XXX -bench 'EvalTree|EvalProgram|ScoreProgram|Prepare|EngineStep|Rotating|StepWithSearchStats|StepWithSpans|StepWithSubscribers|RouteSubmit' -benchtime=1x -benchmem \
+		./internal/bcpop/ ./internal/covering/ ./internal/core/ ./internal/serve/ ./internal/cluster/ | $(GO) run carbon/cmd/benchjson >/dev/null
 
 # Analyzer self-check: synthetic healthy/pathological traces through the
 # whole carbonstat pipeline (parse, demux, summarize, flag, diff).

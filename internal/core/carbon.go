@@ -178,10 +178,12 @@ type Config struct {
 
 	// --- Fault injection (testing/chaos only; nil in production). ---
 
-	// LPFault, when non-nil, is installed on every worker evaluator's
-	// warm LP solver and consulted before each relaxation solve; a
-	// non-nil return fails that solve. The engine quarantines the
-	// affected prey for the generation instead of failing the run (see
+	// LPFault, when non-nil, decides each relaxation solve; a non-nil
+	// return fails that solve. The engine calls it once per solve on
+	// its own goroutine, in the serial worklist order, before a wave's
+	// parallel solves start, so the n-th call always decides the same
+	// solve at any worker count. The engine quarantines the affected
+	// prey for the generation instead of failing the run (see
 	// Engine.Faults).
 	LPFault func() error
 

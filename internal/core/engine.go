@@ -107,6 +107,15 @@ type Engine struct {
 	predErr  []error
 	predQuar []bool
 
+	// LP fault replay (Config.LPFault). The coordinator draws each
+	// solve's fault decision in worklist order before a wave's solves
+	// start (lpDraws), and lpDue[w] hands worker w's solver the
+	// decision for the solve it runs next. The n-th draw thus always
+	// decides the n-th solve of the serial order, whatever the worker
+	// count or the scheduling.
+	lpDue   []error
+	lpDraws []error
+
 	// Search-dynamics introspection (DESIGN.md §5f). Everything below
 	// is inert until the first Step with an observer attached, consumes
 	// no RNG and issues no extra LP solves, so a run is bit-identical
@@ -200,11 +209,14 @@ func NewEngine(mk *bcpop.Market, cfg Config) (*Engine, error) {
 			ev.Metrics = em
 		}
 	}
-	if cfg.LPFault != nil || cfg.EvalFault != nil {
-		for _, ev := range evs {
-			ev.SetLPFault(cfg.LPFault)
-			ev.EvalFault = cfg.EvalFault
+	if cfg.LPFault != nil {
+		e.lpDue = make([]error, len(evs))
+		for w, ev := range evs {
+			ev.SetLPFault(func() error { return e.lpDue[w] })
 		}
+	}
+	for _, ev := range evs {
+		ev.EvalFault = cfg.EvalFault
 	}
 	e.prey = make([][]float64, cfg.ULPopSize)
 	for i := range e.prey {
@@ -400,6 +412,13 @@ func (e *Engine) Step() bool {
 	}
 	relaxCtx := waveSpan.Context()
 	lpEvery := e.spanLPEvery
+	draws := e.lpDraws[:0]
+	if e.cfg.LPFault != nil {
+		for range relaxList {
+			draws = append(draws, e.cfg.LPFault())
+		}
+	}
+	e.lpDraws = draws
 	e.phase(observing, "relax", func() {
 		evalStriped(len(relaxList), e.workers, wave, func(i, worker int) {
 			// Sampled lp.solve child spans: every lpEvery-th distinct
@@ -410,6 +429,9 @@ func (e *Engine) Step() bool {
 			if spansOn && lpEvery > 0 && i%lpEvery == 0 {
 				sp = e.spans.Start(relaxCtx, "lp.solve").Kind(span.KindCompute).
 					Attr("prey", relaxList[i]).Attr("worker", worker)
+			}
+			if e.lpDue != nil {
+				e.lpDue[worker] = draws[i]
 			}
 			p, err := e.evs[worker].Prepare(e.prey[relaxList[i]])
 			if err != nil {
@@ -945,14 +967,14 @@ func (e *Engine) genStats(evalNanos, breedNanos int64, search *SearchStats, surr
 	gs.PreyBest = e.preyFit[0]
 	for _, f := range e.preyFit {
 		sum += f
-		sq += f * f
+		sq += float64(f * f)
 		if f > gs.PreyBest {
 			gs.PreyBest = f
 		}
 	}
 	n := float64(len(e.preyFit))
 	gs.PreyMean = sum / n
-	if v := sq/n - gs.PreyMean*gs.PreyMean; v > 0 {
+	if v := sq/n - float64(gs.PreyMean*gs.PreyMean); v > 0 {
 		gs.PreyStd = math.Sqrt(v)
 	}
 	sum = 0.0
@@ -1084,6 +1106,9 @@ func (e *Engine) Result() (*Result, error) {
 			sample := r.SampleDistinct(e.cfg.EffectiveSample(), len(e.prey))
 			total := 0.0
 			for _, s := range sample {
+				if e.lpDue != nil {
+					e.lpDue[0] = e.cfg.LPFault()
+				}
 				p, err := e.evs[0].Prepare(e.prey[s])
 				if err != nil {
 					return nil, err

@@ -254,6 +254,7 @@ func TestInjectAtMaxElites(t *testing.T) {
 func BenchmarkEngineStep(b *testing.B) {
 	mk := smallMarket(b)
 	cfg := smallConfig(1)
+	cfg.Workers = 1 // lp_solves/gen must not depend on the machine's CPU count
 	cfg.ULEvalBudget = 1 << 30
 	cfg.LLEvalBudget = 1 << 30
 	reg := telemetry.NewRegistry()

@@ -191,6 +191,7 @@ func TestIslandMigrationSpans(t *testing.T) {
 func BenchmarkStepWithSpans(b *testing.B) {
 	mk := smallMarket(b)
 	cfg := smallConfig(1)
+	cfg.Workers = 1 // lp_solves/gen must not depend on the machine's CPU count
 	cfg.ULEvalBudget = 1 << 30
 	cfg.LLEvalBudget = 1 << 30
 	reg := telemetry.NewRegistry()

@@ -384,6 +384,7 @@ func TestSurrogateDriftRaisesError(t *testing.T) {
 func BenchmarkEngineStepSurrogate(b *testing.B) {
 	mk := smallMarket(b)
 	cfg := surrogateConfig(1)
+	cfg.Workers = 1 // lp_solves/gen must not depend on the machine's CPU count
 	cfg.ULEvalBudget = 1 << 30
 	cfg.LLEvalBudget = 1 << 30
 	reg := telemetry.NewRegistry()

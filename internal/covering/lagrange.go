@@ -65,13 +65,13 @@ func (in *Instance) LagrangianBound(ub float64, iters int) LagrangianResult {
 		// Inner minimization: reduced costs and the dual value.
 		val := 0.0
 		for k := 0; k < n; k++ {
-			val += lambda[k] * in.B[k]
+			val += float64(lambda[k] * in.B[k])
 		}
 		for j := 0; j < m; j++ {
 			rc := in.C[j]
 			col := in.Cols[j]
 			for k := 0; k < n; k++ {
-				rc -= lambda[k] * col[k]
+				rc -= float64(lambda[k] * col[k])
 			}
 			red[j] = rc
 			if rc < 0 {
@@ -103,7 +103,7 @@ func (in *Instance) LagrangianBound(ub float64, iters int) LagrangianResult {
 				}
 			}
 			g[k] = gk
-			norm2 += gk * gk
+			norm2 += float64(gk * gk)
 		}
 		if norm2 < 1e-18 {
 			// x(λ) satisfies every requirement exactly: λ is optimal.
@@ -114,7 +114,7 @@ func (in *Instance) LagrangianBound(ub float64, iters int) LagrangianResult {
 			step = theta*math.Abs(val)*1e-3/norm2 + 1e-9
 		}
 		for k := 0; k < n; k++ {
-			lambda[k] += step * g[k]
+			lambda[k] += float64(step * g[k])
 			if lambda[k] < 0 {
 				lambda[k] = 0
 			}

@@ -1,6 +1,8 @@
 package covering
 
 import (
+	"fmt"
+
 	"carbon/internal/gp"
 )
 
@@ -77,25 +79,59 @@ func (ts *TreeScorer) ScoreProgram(vm *gp.VM, p *gp.Program, scores []float64) {
 }
 
 // ScoreProgramInto is the allocation-free form of ScoreProgram used by
-// the evaluation hot path: no scorer object, the environment scratch
-// lives on the caller's stack, and the VM's operand stack is reused
-// across calls. One compiled predator is swept across all M×N
-// (item, service) pairs of a prepared context in a single batched pass.
+// the evaluation hot path. It runs the program on the VM's lanes, one
+// lane per (item, service) pair: items go in blocks of
+// ⌊gp.LaneWidth/N⌋ whole items (at least one), lane i·N+k holding item
+// j0+i against service k. Only the terminals the program reads are
+// filled — c and x̄ broadcast per item, q copied from the item's
+// column, b and d tiled once per call. Each lane performs Tree.Eval's
+// exact operations, root NaN→0 included, and each item then sums its N
+// lanes in ascending k from 0.0, as Score does, so scores are
+// bit-identical to Score on the program's source tree.
 func ScoreProgramInto(in *Instance, rx *Relaxation, vm *gp.VM, p *gp.Program, scores []float64) {
-	var env [EnvLen]float64
+	if p.Terms() > EnvLen {
+		panic(fmt.Sprintf("covering: program reads %d terminals, scorer supplies %d", p.Terms(), EnvLen))
+	}
 	n := in.N()
-	for j := range scores {
-		col := in.Cols[j]
-		env[0] = in.C[j]
-		env[4] = rx.XBar[j]
-		total := 0.0
-		for k := 0; k < n; k++ {
-			env[1] = col[k]
-			env[2] = in.B[k]
-			env[3] = rx.Dual[k]
-			total += vm.Eval(p, env[:])
+	block := min(max(gp.LaneWidth/n, 1), len(scores))
+	terms, out := vm.Scratch(p, block*n)
+	readC, readQ, readB, readD, readX := p.ReadsTerm(0), p.ReadsTerm(1), p.ReadsTerm(2), p.ReadsTerm(3), p.ReadsTerm(4)
+	for lo := 0; lo < block*n; lo += n {
+		if readB {
+			copy(terms[2][lo:lo+n], in.B)
 		}
-		scores[j] = total
+		if readD {
+			copy(terms[3][lo:lo+n], rx.Dual)
+		}
+	}
+	for j0 := 0; j0 < len(scores); j0 += block {
+		items := min(block, len(scores)-j0)
+		for i := 0; i < items; i++ {
+			j, lo := j0+i, i*n
+			if readC {
+				fill(terms[0][lo:lo+n], in.C[j])
+			}
+			if readQ {
+				copy(terms[1][lo:lo+n], in.Cols[j])
+			}
+			if readX {
+				fill(terms[4][lo:lo+n], rx.XBar[j])
+			}
+		}
+		vm.EvalLanes(p, terms, out[:items*n])
+		for i := 0; i < items; i++ {
+			total := 0.0
+			for _, v := range out[i*n : (i+1)*n] {
+				total += v
+			}
+			scores[j0+i] = total
+		}
+	}
+}
+
+func fill(dst []float64, v float64) {
+	for i := range dst {
+		dst[i] = v
 	}
 }
 

@@ -5,10 +5,11 @@
 // recorded once and replayed without re-decoding nodes. Compile lowers
 // a validated tree into exactly that instruction sequence — flat
 // postfix bytecode with an inline constant pool — and VM replays it
-// against any number of environment vectors with caller-owned scratch.
-// Steady-state evaluation allocates nothing: the interpreter zeroes a
-// 4KiB operand array per call, the VM reuses a slice sized to the
-// program's real high-water mark.
+// across a block of environments at once: each instruction runs as one
+// loop over the lanes, each lane one environment. Steady-state
+// evaluation allocates nothing: the interpreter zeroes a 4KiB operand
+// array per call, the VM reuses lane registers sized to the program's
+// real high-water mark times the lane count.
 //
 // Determinism: the VM executes the same float64 operations in the same
 // order as Tree.Eval — Table I operators are specialized to dedicated
@@ -17,8 +18,9 @@
 // modulo, call protMod, the very function behind Mod.F2; custom operators
 // fall back to calling the Op function itself, intermediate NaN/±Inf
 // values propagate untouched, and only the root value collapses NaN to
-// 0 exactly like Eval. Results are therefore bit-identical to the
-// interpreter (FuzzCompiledEval proves it differentially).
+// 0 exactly like Eval. Lanes never mix: lane i computes from lane i's
+// inputs alone. Results are therefore bit-identical to the interpreter
+// on every lane (FuzzCompiledEval proves it differentially).
 package gp
 
 import (
@@ -63,10 +65,11 @@ type instr struct {
 // program across workers.
 type Program struct {
 	code  []instr
-	ops   []Op // the compile set's operators, for opCall fallback
-	terms int  // required environment length (len(set.Terms) at compile)
-	depth int  // operand-stack high-water mark
-	size  int  // node count of the source tree
+	ops   []Op      // the compile set's operators, for opCall fallback
+	terms int       // required environment length (len(set.Terms) at compile)
+	reads [2]uint64 // bit t set when the code reads terminal t
+	depth int       // operand-stack high-water mark
+	size  int       // node count of the source tree
 }
 
 // Size returns the node count of the compiled tree.
@@ -77,6 +80,10 @@ func (p *Program) StackDepth() int { return p.depth }
 
 // Terms returns the environment length the program requires.
 func (p *Program) Terms() int { return p.terms }
+
+// ReadsTerm reports whether the program reads terminal t, so a batched
+// caller can skip filling the lanes of terminals it never reads.
+func (p *Program) ReadsTerm(t int) bool { return p.reads[t/64]&(1<<(t%64)) != 0 }
 
 // builtinOps maps an Op function's code pointer to its dedicated
 // opcode. Identity by function pointer is exact: a set whose operator
@@ -118,6 +125,7 @@ func (p *Program) Compile(s *Set, t Tree) error {
 		return err
 	}
 	code := p.code[:0]
+	var reads [2]uint64
 	// Emit in the interpreter's execution order: the prefix encoding
 	// scanned backwards. This is postfix of the mirrored tree — every
 	// operator sees its LEFT operand on top of the stack, matching
@@ -127,6 +135,7 @@ func (p *Program) Compile(s *Set, t Tree) error {
 		switch n.kind {
 		case kTerm:
 			code = append(code, instr{op: opTerm, idx: n.idx})
+			reads[n.idx/64] |= 1 << (n.idx % 64)
 		case kConst:
 			code = append(code, instr{op: opConst, val: n.val})
 		default:
@@ -168,122 +177,196 @@ func (p *Program) Compile(s *Set, t Tree) error {
 	p.code = code
 	p.ops = s.Ops
 	p.terms = len(s.Terms)
+	p.reads = reads
 	p.depth = depth
 	p.size = len(t.nodes)
 	return nil
 }
 
-// VM executes compiled programs. It owns the operand stack, so it is
+// VM executes compiled programs. It owns the lane registers, so it is
 // not safe for concurrent use — create one per worker and reuse it;
-// after the stack grows to the largest program seen, evaluation
-// allocates nothing.
+// after the registers grow to the largest (program, lane count) seen,
+// evaluation allocates nothing.
 type VM struct {
-	stack []float64
+	regs  [][]float64 // operand stack: one lane vector per slot
+	buf   []float64   // owned lane registers, depth × lanes
+	env   [][]float64 // Eval's one-lane views of its environment
+	one   [1]float64  // Eval's one-lane result
+	terms [][]float64 // Scratch's per-terminal input lanes
+	in    []float64   // backing store of terms
+	out   []float64   // Scratch's output lanes
 }
 
-// NewVM returns an empty VM; the operand stack grows on first use.
+// NewVM returns an empty VM; its registers grow on first use.
 func NewVM() *VM { return &VM{} }
+
+// LaneWidth is the lane count batched callers aim for: wide enough that
+// each instruction's dispatch is spread over many pairs, small enough
+// that a program's registers stay in cache.
+const LaneWidth = 64
 
 // Eval executes the program against one environment vector, whose
 // layout must match the terminal set the program was compiled over.
 // The result is bit-identical to Tree.Eval on the source tree: same
 // operation order, same protected-operator semantics, same root-only
-// NaN→0 sanitization.
+// NaN→0 sanitization. It is a one-lane EvalLanes.
 func (vm *VM) Eval(p *Program, env []float64) float64 {
-	if len(p.code) == 0 {
-		panic("gp: evaluating an empty program")
-	}
 	if len(env) < p.terms {
 		panic(fmt.Sprintf("gp: environment length %d below program requirement %d", len(env), p.terms))
 	}
-	if cap(vm.stack) < p.depth {
-		vm.stack = make([]float64, p.depth)
+	vm.env = vm.env[:0]
+	for i := range env[:p.terms] {
+		vm.env = append(vm.env, env[i:i+1])
 	}
-	return vm.run(p, env)
+	vm.EvalLanes(p, vm.env, vm.one[:])
+	return vm.one[0]
 }
 
-// run is the dispatch loop; callers have validated env and stack
-// capacity.
-func (vm *VM) run(p *Program, env []float64) float64 {
-	st := vm.stack[:cap(vm.stack)]
+// EvalLanes executes the program once per lane: lane i reads terminal t
+// from terms[t][i] and writes its result to out[i], for len(out) lanes.
+// Each instruction runs as one loop over all lanes, so dispatch is paid
+// once per instruction rather than once per instruction and lane. Every
+// lane performs exactly Eval's float64 operations, so out[i] is
+// bit-identical to Eval on lane i's environment. Terminals the program
+// does not read (ReadsTerm false) may be nil; terms is never written.
+func (vm *VM) EvalLanes(p *Program, terms [][]float64, out []float64) {
+	if len(p.code) == 0 {
+		panic("gp: evaluating an empty program")
+	}
+	if len(terms) < p.terms {
+		panic(fmt.Sprintf("gp: %d terminal lanes below program requirement %d", len(terms), p.terms))
+	}
+	n := len(out)
+	for t := range terms[:p.terms] {
+		if p.ReadsTerm(t) && len(terms[t]) < n {
+			panic(fmt.Sprintf("gp: terminal %d has %d lanes, want %d", t, len(terms[t]), n))
+		}
+	}
+	if cap(vm.regs) < p.depth {
+		vm.regs = make([][]float64, p.depth)
+	}
+	if cap(vm.buf) < p.depth*n {
+		vm.buf = make([]float64, p.depth*n)
+	}
+	root := vm.run(p, terms, n)
+	for i, v := range root {
+		if math.IsNaN(v) {
+			v = 0
+		}
+		out[i] = v
+	}
+}
+
+// Scratch returns VM-owned lane buffers for a caller that builds lane
+// environments for p: one n-lane input vector per terminal and an
+// n-lane output vector, ready to pass to EvalLanes. They stay valid
+// until the next Scratch call.
+func (vm *VM) Scratch(p *Program, n int) (terms [][]float64, out []float64) {
+	k := p.terms
+	if cap(vm.in) < k*n {
+		vm.in = make([]float64, k*n)
+	}
+	if cap(vm.out) < n {
+		vm.out = make([]float64, n)
+	}
+	if cap(vm.terms) < k {
+		vm.terms = make([][]float64, k)
+	}
+	vm.terms = vm.terms[:k]
+	for t := range vm.terms {
+		vm.terms[t] = vm.in[t*n : (t+1)*n]
+	}
+	return vm.terms, vm.out[:n]
+}
+
+// run is the dispatch loop; EvalLanes has validated the lanes and sized
+// the registers. Stack slot s is the lane vector regs[s]: a terminal is
+// pushed as a view of its input lanes, every other instruction writes
+// slot s's own registers buf[s·n:(s+1)·n]. An operator's result slot
+// is its right operand's, so a lane is read before it is overwritten.
+// It returns the root's lanes, before NaN sanitization.
+func (vm *VM) run(p *Program, terms [][]float64, n int) []float64 {
+	regs := vm.regs[:p.depth]
+	buf := vm.buf
 	top := -1
 	for _, ins := range p.code {
 		switch ins.op {
 		case opTerm:
 			top++
-			st[top] = env[ins.idx]
+			regs[top] = terms[ins.idx][:n]
+			continue
 		case opConst:
 			top++
-			st[top] = ins.val
+			dst := buf[top*n : top*n+n]
+			for i := range dst {
+				dst[i] = ins.val
+			}
+			regs[top] = dst
+			continue
+		case opNeg:
+			a, dst := regs[top], buf[top*n:top*n+n]
+			a = a[:len(dst)]
+			for i := range dst {
+				dst[i] = -a[i]
+			}
+			regs[top] = dst
+			continue
+		case opCall1:
+			a, dst := regs[top], buf[top*n:top*n+n]
+			a = a[:len(dst)]
+			f := p.ops[ins.idx].F1
+			for i := range dst {
+				dst[i] = f(a[i])
+			}
+			regs[top] = dst
+			continue
+		}
+		// Binary: a is the top operand, b the one below it, as in
+		// Tree.Eval; the result replaces b.
+		a, b := regs[top], regs[top-1]
+		top--
+		dst := buf[top*n : top*n+n]
+		a, b = a[:len(dst)], b[:len(dst)]
+		switch ins.op {
 		case opAdd:
-			a, b := st[top], st[top-1]
-			top--
-			st[top] = a + b
+			for i := range dst {
+				dst[i] = a[i] + b[i]
+			}
 		case opSub:
-			a, b := st[top], st[top-1]
-			top--
-			st[top] = a - b
+			for i := range dst {
+				dst[i] = a[i] - b[i]
+			}
 		case opMul:
-			a, b := st[top], st[top-1]
-			top--
-			st[top] = a * b
+			for i := range dst {
+				dst[i] = a[i] * b[i]
+			}
 		case opDivP:
-			a, b := st[top], st[top-1]
-			top--
-			if math.Abs(b) < protEps {
-				st[top] = 1
-			} else {
-				st[top] = a / b
+			for i := range dst {
+				if math.Abs(b[i]) < protEps {
+					dst[i] = 1
+				} else {
+					dst[i] = a[i] / b[i]
+				}
 			}
 		case opModP:
-			a, b := st[top], st[top-1]
-			top--
-			st[top] = protMod(a, b)
+			for i := range dst {
+				dst[i] = protMod(a[i], b[i])
+			}
 		case opMin:
-			a, b := st[top], st[top-1]
-			top--
-			st[top] = math.Min(a, b)
+			for i := range dst {
+				dst[i] = math.Min(a[i], b[i])
+			}
 		case opMax:
-			a, b := st[top], st[top-1]
-			top--
-			st[top] = math.Max(a, b)
-		case opNeg:
-			st[top] = -st[top]
-		case opCall1:
-			st[top] = p.ops[ins.idx].F1(st[top])
+			for i := range dst {
+				dst[i] = math.Max(a[i], b[i])
+			}
 		default: // opCall2
-			a, b := st[top], st[top-1]
-			top--
-			st[top] = p.ops[ins.idx].F2(a, b)
+			f := p.ops[ins.idx].F2
+			for i := range dst {
+				dst[i] = f(a[i], b[i])
+			}
 		}
+		regs[top] = dst
 	}
-	v := st[0]
-	if math.IsNaN(v) {
-		return 0
-	}
-	return v
-}
-
-// EvalBatch executes one program against many environment vectors in a
-// single pass: envs is row-major with the given stride (≥ p.Terms()),
-// and out[i] receives the result for row i — len(out) rows are
-// evaluated. This is the batched shape of the evaluation wave: compile
-// a predator once, sweep it across every cached prey context without
-// re-decoding the tree or allocating.
-func (vm *VM) EvalBatch(p *Program, envs []float64, stride int, out []float64) {
-	if len(p.code) == 0 {
-		panic("gp: evaluating an empty program")
-	}
-	if stride < p.terms {
-		panic(fmt.Sprintf("gp: batch stride %d below program requirement %d", stride, p.terms))
-	}
-	if len(envs) < stride*len(out) {
-		panic(fmt.Sprintf("gp: batch of %d rows needs %d floats, got %d", len(out), stride*len(out), len(envs)))
-	}
-	if cap(vm.stack) < p.depth {
-		vm.stack = make([]float64, p.depth)
-	}
-	for i := range out {
-		out[i] = vm.run(p, envs[i*stride:(i+1)*stride])
-	}
+	return regs[0]
 }

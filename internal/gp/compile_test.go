@@ -108,23 +108,51 @@ func TestProgramRecompileReusesStorage(t *testing.T) {
 	}
 }
 
-func TestEvalBatchMatchesEval(t *testing.T) {
+func TestEvalLanesMatchesEval(t *testing.T) {
 	s := compileSet()
 	tr, p := mustCompile(t, s, "(- (* c q) (% d (mod x b)))")
 	vm := NewVM()
-	const rows = 7
-	stride := p.Terms()
-	envs := make([]float64, rows*stride)
 	r := rng.New(3)
-	for i := range envs {
-		envs[i] = r.Range(-10, 10)
+	for _, lanes := range []int{1, 7, LaneWidth, 2*LaneWidth + 3} {
+		terms := make([][]float64, p.Terms())
+		for k := range terms {
+			terms[k] = make([]float64, lanes)
+			for i := range terms[k] {
+				terms[k][i] = r.Range(-10, 10)
+			}
+		}
+		out := make([]float64, lanes)
+		vm.EvalLanes(p, terms, out)
+		env := make([]float64, p.Terms())
+		for i := 0; i < lanes; i++ {
+			for k := range env {
+				env[k] = terms[k][i]
+			}
+			want := tr.Eval(s, env)
+			if math.Float64bits(want) != math.Float64bits(out[i]) {
+				t.Fatalf("%d lanes, lane %d: interpreter %v, lanes %v", lanes, i, want, out[i])
+			}
+		}
 	}
-	out := make([]float64, rows)
-	vm.EvalBatch(p, envs, stride, out)
-	for i := 0; i < rows; i++ {
-		want := tr.Eval(s, envs[i*stride:(i+1)*stride])
-		if math.Float64bits(want) != math.Float64bits(out[i]) {
-			t.Fatalf("row %d: interpreter %v, batch %v", i, want, out[i])
+}
+
+// Terminals a program never reads may be left nil, and the mask that
+// says so is exact.
+func TestEvalLanesSkipsUnreadTerms(t *testing.T) {
+	s := compileSet()
+	tr, p := mustCompile(t, s, "(+ (* q d) (neg q))")
+	for k, name := range s.Terms {
+		if want := name == "q" || name == "d"; p.ReadsTerm(k) != want {
+			t.Fatalf("ReadsTerm(%s) = %v, want %v", name, p.ReadsTerm(k), want)
+		}
+	}
+	terms := [][]float64{nil, {1, -2, 3}, nil, {0.5, 4, -1}, nil}
+	out := make([]float64, 3)
+	NewVM().EvalLanes(p, terms, out)
+	for i := range out {
+		env := []float64{0, terms[1][i], 0, terms[3][i], 0}
+		if want := tr.Eval(s, env); math.Float64bits(want) != math.Float64bits(out[i]) {
+			t.Fatalf("lane %d: interpreter %v, lanes %v", i, want, out[i])
 		}
 	}
 }
@@ -240,16 +268,33 @@ func FuzzCompiledEval(f *testing.F) {
 			t.Fatalf("tree %s on %v: interpreter %v (%x), VM %v (%x)",
 				tree.String(set), env, want, math.Float64bits(want), got, math.Float64bits(got))
 		}
-		// The batched entry point must agree with the scalar one.
-		envs := make([]float64, 0, 3*len(env))
-		for i := 0; i < 3; i++ {
-			envs = append(envs, env...)
+		// The lane path: a random lane count, each lane its own
+		// environment drawn from the fuzzed values, edge values and
+		// fresh uniforms, each compared with the interpreter.
+		pool := []float64{a, b, c, d, e, 0, math.Copysign(0, -1), math.NaN(),
+			math.Inf(1), math.Inf(-1), protEps, -protEps, 1}
+		lanes := 1 + r.Intn(2*LaneWidth+8)
+		terms := make([][]float64, len(env))
+		for k := range terms {
+			terms[k] = make([]float64, lanes)
+			for i := range terms[k] {
+				if r.Bool(0.7) {
+					terms[k][i] = pool[r.Intn(len(pool))]
+				} else {
+					terms[k][i] = r.Range(-10, 10)
+				}
+			}
 		}
-		out := make([]float64, 3)
-		vm.EvalBatch(prog, envs, len(env), out)
+		out := make([]float64, lanes)
+		vm.EvalLanes(prog, terms, out)
 		for i, v := range out {
+			for k := range env {
+				env[k] = terms[k][i]
+			}
+			want := tree.Eval(set, env)
 			if math.Float64bits(v) != math.Float64bits(want) {
-				t.Fatalf("batch row %d: got %v, want %v", i, v, want)
+				t.Fatalf("tree %s, lane %d/%d on %v: interpreter %v (%x), lanes %v (%x)",
+					tree.String(set), i, lanes, env, want, math.Float64bits(want), v, math.Float64bits(v))
 			}
 		}
 	})

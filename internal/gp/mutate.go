@@ -50,7 +50,7 @@ func JitterConsts(r *rng.Rand, s *Set, t Tree, sigma float64) Tree {
 		if n.kind != kConst {
 			continue
 		}
-		v := n.val + sigma*r.NormFloat64()
+		v := n.val + float64(sigma*r.NormFloat64())
 		if s.ConstProb > 0 {
 			if v < s.ConstMin {
 				v = s.ConstMin

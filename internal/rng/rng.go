@@ -112,7 +112,7 @@ func (r *Rand) IntRange(lo, hi int) int {
 
 // Range returns a uniform float64 in [lo, hi).
 func (r *Rand) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Bool returns true with probability p.
@@ -126,12 +126,20 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
+// signed returns 2·Float64() − 1, a uniform dyadic rational in
+// [−1, 1), from one draw. It is computed in integers: written as float
+// arithmetic, arm64 fuses the scaling multiply with the − 1. That
+// product is exact, so fusing moves no bit, but an integer form leaves
+// nothing for the fused-op lint to flag.
+func (r *Rand) signed() float64 {
+	return float64(int64(r.Uint64()>>11)*2-(1<<53)) / (1 << 53)
+}
+
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
 func (r *Rand) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u, v := r.signed(), r.signed()
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}

@@ -293,3 +293,16 @@ func BenchmarkIntn(b *testing.B) {
 	}
 	_ = sink
 }
+
+// signed is NormFloat64's uniform on [−1, 1) in integer arithmetic; it
+// must return exactly the float expression it replaces, draw for draw.
+func TestSignedMatchesFloatExpression(t *testing.T) {
+	a, b := New(17), New(17)
+	for i := 0; i < 100000; i++ {
+		got, want := a.signed(), 2*b.Float64()-1
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d: signed %v (%x), 2·Float64−1 %v (%x)",
+				i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
